@@ -44,7 +44,8 @@ per-endpoint sums), and the ``schedule`` pass precompiles the phased
 plans into the artifact so warm session runs do zero scheduling work.
 
 The ``motion`` pass is cost-guarded: candidate code motions are priced by
-an exact static traffic simulator under the machine's :class:`CostModel`
+exact static traffic prediction (the executor's own walk, counting
+instead of moving data) under the machine's :class:`CostModel`
 (a compile option; see ``CompilerOptions(cost=...)``) and performed only
 when they can never move more bytes than the unmoved placement.
 :func:`predict_traffic` and ``result.observed_traffic()`` are the two

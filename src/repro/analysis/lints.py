@@ -39,7 +39,6 @@ baseline comparison.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any
 
 from repro.analysis.dataflow import Direction, solve
 from repro.compiler.diagnostics import CompileReport
@@ -60,7 +59,8 @@ from repro.lang.printer import print_stmt
 from repro.remap.codegen import GeneratedCode
 from repro.remap.construction import ConstructionResult
 from repro.remap.graph import GRVertex
-from repro.spmd.traffic import TrafficSimulator, enumerate_scenarios
+from repro.runtime.counting import CountingExecutor
+from repro.spmd.traffic import enumerate_scenarios
 
 __all__ = ["Finding", "LINT_RULES", "lint_construction", "lint_program"]
 
@@ -311,19 +311,6 @@ def _lint_unreachable(res: ConstructionResult, name: str) -> list[Finding]:
 # ---------------------------------------------------------------------------
 
 
-class _RecordingSimulator(TrafficSimulator):
-    """The exact dry-run executor, additionally recording which branch
-    conditions were actually evaluated."""
-
-    def __init__(self, *args: Any, **kw: Any) -> None:
-        super().__init__(*args, **kw)
-        self.evaluated: set[str] = set()
-
-    def _condition(self, name: str) -> bool:
-        self.evaluated.add(name)
-        return super()._condition(name)
-
-
 def _lint_scenarios(
     constructions: dict[str, ConstructionResult],
     codes: dict[str, GeneratedCode],
@@ -347,12 +334,12 @@ def _lint_scenarios(
         return []  # nothing provable without scenarios
     evaluated: set[str] = set()
     for sc in scenarios:
-        sim = _RecordingSimulator(constructions, codes, sc)
+        counter = CountingExecutor(constructions, codes, sc)
         try:
-            sim.run(entry)
+            counter.count(entry)
         except TrafficPredictionError:
             continue  # an unsimulatable scenario proves nothing
-        evaluated |= sim.evaluated
+        evaluated |= counter.env.evaluated
     findings: list[Finding] = []
     for (cond, _sid), stmt in sorted(conds.items(), key=lambda kv: kv[0][0]):
         if cond in evaluated:

@@ -465,7 +465,7 @@ class SchedulePass:
 class TrafficEstimatePass:
     """Predict each subroutine's communication over its runtime unknowns.
 
-    Runs the exact static traffic simulator (:mod:`repro.spmd.traffic`)
+    Runs exact static traffic prediction (:mod:`repro.spmd.traffic`)
     over every branch-outcome/trip-count/input scenario (deterministically
     subsampled beyond a cap), records the per-subroutine best/worst
     :class:`~repro.spmd.traffic.TrafficRange` in the compile report, and

@@ -10,8 +10,8 @@ counter-example tracked in ROADMAP.md).
 
 :class:`CostGuard` closes the hole by construction.  For every candidate
 sink it compiles both placements through the downstream passes the active
-pipeline will actually run, then prices both with the exact static traffic
-simulator (:mod:`repro.spmd.traffic`) over the whole runtime-unknown
+pipeline will actually run, then prices both with exact static traffic
+prediction (:mod:`repro.spmd.traffic`) over the whole runtime-unknown
 scenario space -- every branch-outcome assignment, zero/one/many trip
 counts for every *symbolic* loop bound (even ones this compile's bindings
 pin: compiled artifacts are cached and reused across runtime bound values,

@@ -9,6 +9,8 @@ that may evict live copies under pressure and regenerate them later.
 simulated :class:`~repro.spmd.machine.Machine`, moving real array data, so
 numerical results can be validated against sequential NumPy references
 while every remapping message is accounted.
+:class:`~repro.runtime.counting.CountingExecutor` runs the same walk
+without data, pricing each copy: it is the static traffic prediction.
 """
 
 from repro.runtime.executor import ExecutionEnv, ExecutionResult, Executor, execute

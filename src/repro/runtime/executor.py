@@ -19,7 +19,9 @@ Verification hooks:
 * :meth:`ExecutionResult.observed_traffic` is the runtime half of the
   traffic oracle: the actually measured bytes/messages as a
   :class:`~repro.spmd.cost.TrafficEstimate`, directly comparable with the
-  compile-time prediction of :func:`repro.spmd.traffic.predict_traffic`.
+  compile-time prediction of :func:`repro.spmd.traffic.predict_traffic`,
+  which is this same walk run over dataless storage by
+  :class:`~repro.runtime.counting.CountingExecutor`.
 
 Concurrency contract (audited for the service layer)
 ----------------------------------------------------
@@ -92,6 +94,7 @@ from repro.runtime.fusion import (
 from repro.runtime.memory import MemoryManager
 from repro.runtime.status import ArrayRuntime
 from repro.spmd.cost import TrafficEstimate
+from repro.spmd.darray import DistributedArray
 from repro.spmd.machine import Machine
 from repro.spmd.redistribution import build_schedule, execute_schedule
 from repro.spmd.schedule import (
@@ -226,6 +229,20 @@ class _Frame:
     loops: dict[str, int] = field(default_factory=dict)
 
 
+def _machine_traffic(machine) -> TrafficEstimate:
+    """A machine's traffic counters and phase clock as one estimate."""
+    s = machine.stats
+    return TrafficEstimate(
+        bytes=s.bytes,
+        messages=s.messages,
+        local_bytes=s.local_bytes,
+        local_copies=s.local_copies,
+        status_checks=s.status_checks,
+        phases=s.phases,
+        makespan=machine.phase_seconds,
+    )
+
+
 class ExecutionResult:
     """Final machine state plus accessors for the top-level arrays."""
 
@@ -266,16 +283,7 @@ class ExecutionResult:
         against :func:`repro.spmd.traffic.predict_traffic` to hold the
         static estimator to the executor's ground truth.
         """
-        s = self.stats
-        return TrafficEstimate(
-            bytes=s.bytes,
-            messages=s.messages,
-            local_bytes=s.local_bytes,
-            local_copies=s.local_copies,
-            status_checks=s.status_checks,
-            phases=s.phases,
-            makespan=self.machine.phase_seconds,
-        )
+        return _machine_traffic(self.machine)
 
     def traffic_by_array(self) -> dict[str, dict[str, int]]:
         """Per-array bytes/messages breakdown of the run's remapping traffic."""
@@ -357,17 +365,24 @@ class Executor:
                 for v in state.live_versions():
                     yield state, v
 
+    def _allocate(
+        self, state: ArrayRuntime, version: int, poison: bool = False
+    ) -> DistributedArray:
+        """Give one version storage; ``poison`` fills it with NaN (dead values)."""
+        inst = self.memory.allocate(
+            f"{state.name}_{version}", state.versions[version], self.env.dtype
+        )
+        if poison:
+            for rank in inst.blocks:
+                inst.blocks[rank].fill(np.nan)
+        state.insts[version] = inst
+        return inst
+
     def _ensure_instantiated(
-        self, frame: _Frame, state: ArrayRuntime, version: int, poison: bool = False
+        self, frame: _Frame, state: ArrayRuntime, version: int
     ) -> None:
         if state.insts[version] is None:
-            inst = self.memory.allocate(
-                f"{state.name}_{version}", state.versions[version], self.env.dtype
-            )
-            if poison:
-                for rank in inst.blocks:
-                    inst.blocks[rank].fill(np.nan)
-            state.insts[version] = inst
+            self._allocate(state, version)
         if not state.live[version]:
             # an uninitialized (or regenerated-later) copy: it becomes live
             # the moment it is the referenced current version
@@ -388,11 +403,7 @@ class Executor:
         )
         t0 = time.perf_counter()
         with _TRACER.span("executor.run", sub=sub_name):
-            frame = self._enter_frame(compiled, args=None, caller=None)
-            self._exec_ops(frame, compiled.code.entry_ops)
-            self._exec_block(frame, compiled.sub.body)
-            self._exec_ops(frame, compiled.code.exit_ops)
-            self._frames.pop()
+            frame = self._run_sub(compiled, args=None, caller=None)
         _OBS.counter("repro.runtime.runs").inc()
         _OBS.histogram("repro.runtime.run_seconds").observe(time.perf_counter() - t0)
         after = stats.snapshot()
@@ -455,20 +466,27 @@ class Executor:
             # top level: the harness acts as the caller, providing inputs
             for name, state in arrays.items():
                 init = self.env.inputs.get(name)
+                if init is None and not compiled.sub.arrays[name].is_dummy:
+                    continue
+                inst = self._allocate(state, 0)
                 if init is not None:
-                    inst = self.memory.allocate(
-                        f"{name}_0", state.versions[0], self.env.dtype
-                    )
                     inst.scatter_from_global(np.asarray(init, dtype=self.env.dtype))
-                    state.insts[0] = inst
-                    state.live[0] = True
-                elif compiled.sub.arrays[name].is_dummy:
-                    inst = self.memory.allocate(
-                        f"{name}_0", state.versions[0], self.env.dtype
-                    )
-                    state.insts[0] = inst
-                    state.live[0] = True
+                state.live[0] = True
         self._frames.append(frame)
+        return frame
+
+    def _run_sub(
+        self,
+        compiled: CompiledSubroutine,
+        args: dict[str, ArrayRuntime] | None,
+        caller: _Frame | None,
+    ) -> _Frame:
+        """One activation: enter its frame, run entry ops, body and exit ops."""
+        frame = self._enter_frame(compiled, args=args, caller=caller)
+        self._exec_ops(frame, compiled.code.entry_ops)
+        self._exec_block(frame, compiled.sub.body)
+        self._exec_ops(frame, compiled.code.exit_ops)
+        self._frames.pop()
         return frame
 
     # -- ops ---------------------------------------------------------------------------
@@ -540,13 +558,7 @@ class Executor:
             self.machine.status_check()
         if not (check_status and state.status == leaving and state.live[leaving]):
             if state.insts[leaving] is None:
-                inst = self.memory.allocate(
-                    f"{state.name}_{leaving}", state.versions[leaving], self.env.dtype
-                )
-                if dead_values or state.poisoned:
-                    for rank in inst.blocks:
-                        inst.blocks[rank].fill(np.nan)
-                state.insts[leaving] = inst
+                self._allocate(state, leaving, poison=dead_values or state.poisoned)
             if check_status and state.live[leaving]:
                 # the kept copy is live: reuse without any communication
                 stats.remaps_skipped_live += 1
@@ -767,11 +779,14 @@ class Executor:
                     f"status is {name}_{state.status} (compiler bug)"
                 )
             self._ensure_instantiated(frame, state, version)
-        kernel = self.env.kernels.get(stmt.label, default_kernel)
-        kernel(KernelContext(self, frame, stmt))
+        self._run_kernel(frame, stmt)
         for name in stmt.writes + stmt.defines:
             if name in frame.arrays:
                 frame.arrays[name].poisoned = False
+
+    def _run_kernel(self, frame: _Frame, stmt: Compute) -> None:
+        kernel = self.env.kernels.get(stmt.label, default_kernel)
+        kernel(KernelContext(self, frame, stmt))
 
     def _exec_call(self, frame: _Frame, stmt: Call) -> None:
         node = frame.compiled.construction.cfg.node_of_stmt(stmt)
@@ -782,11 +797,7 @@ class Executor:
         args = {
             dummy: frame.arrays[arg] for arg, dummy in zip(info.args, info.dummies)
         }
-        callee_frame = self._enter_frame(callee, args=args, caller=frame)
-        self._exec_ops(callee_frame, callee.code.entry_ops)
-        self._exec_block(callee_frame, callee.sub.body)
-        self._exec_ops(callee_frame, callee.code.exit_ops)
-        self._frames.pop()
+        callee_frame = self._run_sub(callee, args=args, caller=frame)
         # poison propagates back through the shared dummy storage
         for arg, dummy in zip(info.args, info.dummies):
             if callee.sub.arrays[dummy].intent in ("out", "inout"):

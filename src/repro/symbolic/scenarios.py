@@ -10,8 +10,8 @@ estimator consumes scenarios to price placements; the ``symbolize``
 pass's probe guard consumes them to prove a placement safe for *every*
 shape a template may later be instantiated at.
 
-:mod:`repro.spmd.traffic` re-exports everything here under its original
-names, so existing imports keep working.
+:mod:`repro.spmd.traffic` re-exports :class:`Scenario` and
+:func:`enumerate_scenarios` under their original names.
 """
 
 from __future__ import annotations

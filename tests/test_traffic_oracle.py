@@ -1,13 +1,13 @@
 """The traffic oracle: compile-time predictions vs. executed ground truth.
 
-:func:`repro.spmd.traffic.predict_traffic` dry-runs the compiled program's
-runtime ops over abstract array descriptors; the executor's
-:meth:`ExecutionResult.observed_traffic` measures the real thing.  With
-default kernels and no memory limit the two must agree -- the contract
-asserted here is agreement within 10% on every quantity, and (stronger,
-because the simulator mirrors the executor's descriptor logic exactly)
-bit-equal byte and message counts on the paper figures and the three
-workload generators.
+:func:`repro.spmd.traffic.predict_traffic` runs the executor's own walk
+over dataless storage, pricing each copy instead of moving it; the
+executor's :meth:`ExecutionResult.observed_traffic` measures the real
+thing.  With default kernels and no memory limit the two must agree
+exactly -- equal bytes, messages, local copies, status checks and phases,
+and the same modelled makespan -- on the paper figures, the three
+workload generators and a sweep of random programs under every schedule
+policy.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 
 from repro import (
     CompilerOptions,
+    CompilerSession,
     ExecutionEnv,
     Executor,
     Machine,
@@ -27,8 +28,13 @@ from repro.apps.workloads import (
     branchy_subroutine,
     chain_subroutine,
     loopy_subroutine,
+    random_environment,
+    random_legal_subroutine,
 )
+from repro.compiler.artifacts import passes_for_level
 from repro.compiler.pipeline import PassManager
+from repro.errors import TrafficPredictionError
+from repro.obs import REGISTRY, TRACER, snapshot_diff
 from repro.spmd.traffic import enumerate_scenarios, estimate_range
 
 # paper Fig. 1: realign+redistribute through an unused intermediate mapping
@@ -139,20 +145,89 @@ def _observe(w, level):
     return predicted, result.observed_traffic()
 
 
+COUNTS = ("bytes", "messages", "local_bytes", "local_copies", "status_checks", "phases")
+
+
+def _assert_exact(predicted, observed, what):
+    for key in COUNTS:
+        p, o = getattr(predicted, key), getattr(observed, key)
+        assert p == o, f"{what}: predicted {key}={p}, observed {o}"
+    assert predicted.makespan == pytest.approx(observed.makespan), what
+
+
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_predicted_vs_observed_within_tolerance(workload, level):
+    # the tolerance is zero: prediction runs the executor's own walk
     predicted, observed = _observe(WORKLOADS[workload], level)
-    for key in ("bytes", "messages", "local_bytes", "local_copies", "status_checks"):
-        p, o = getattr(predicted, key), getattr(observed, key)
-        assert abs(p - o) <= 0.1 * max(o, 1), (
-            f"{workload} level {level}: predicted {key}={p}, observed {o}"
+    _assert_exact(predicted, observed, f"{workload} level {level}")
+
+
+@pytest.mark.parametrize("policy", [None, "naive", "round-robin", "aggregate"])
+def test_predicted_equals_observed_on_random_programs(policy):
+    """Scheduled and unscheduled prediction on random programs: exact."""
+    opts = CompilerOptions(level=3, schedule=policy)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        program = random_legal_subroutine(rng, n_arrays=3, length=12, depth=2)
+        conditions, inputs = random_environment(rng, n_arrays=3)
+        compiled = compile_program(program, processors=4, options=opts)
+        env = ExecutionEnv(conditions=dict(conditions), inputs=dict(inputs))
+        observed = Executor(compiled, env=env).run("main").observed_traffic()
+        predicted = predict_traffic(
+            compiled, conditions=conditions, inputs=frozenset(inputs)
         )
-    # stronger than the 10% contract: the simulator mirrors the executor's
-    # descriptor machinery, so these workloads predict exactly
-    assert predicted.bytes == observed.bytes
-    assert predicted.messages == observed.messages
-    assert predicted.status_checks == observed.status_checks
+        _assert_exact(predicted, observed, f"seed {seed} policy {policy}")
+
+
+def test_prediction_refuses_conditions_it_cannot_answer():
+    """Errors surface as TrafficPredictionError; a callable condition is
+    refused without being called, since it may be stateful."""
+    bindings = {"n": N, "m": 3}
+    compiled = compile_program(FIG12, bindings=bindings, processors=4)
+    calls = []
+
+    def c1():
+        calls.append(1)
+        return True
+
+    with pytest.raises(TrafficPredictionError, match="c1"):
+        predict_traffic(compiled, conditions={"c1": c1}, bindings=bindings)
+    assert calls == []
+    with pytest.raises(TrafficPredictionError, match="c1"):
+        predict_traffic(compiled, bindings=bindings)  # no outcome for c1
+    with pytest.raises(TrafficPredictionError, match="exhausted"):
+        predict_traffic(compiled, conditions={"c1": []}, bindings=bindings)
+
+
+def test_compile_time_prediction_is_not_a_run():
+    """Pricing placements walks the executor but publishes nothing as a run."""
+    opts = CompilerOptions(
+        passes=passes_for_level(3) + ("traffic-estimate",), schedule="naive"
+    )
+    before = REGISTRY.snapshot()
+    prev = TRACER.enabled
+    TRACER.enabled = True
+    TRACER.clear()
+    try:
+        compiled = CompilerSession(processors=4, options=opts).compile(
+            loopy_subroutine(2)
+        )
+        spans = [s.name for s in TRACER.finished_spans()]
+    finally:
+        TRACER.enabled = prev
+        TRACER.clear()
+    assert compiled.report.traffic["loopy"].scenarios > 1
+    assert compiled.report.motion["loopy"].count >= 1  # the guard priced sinks
+    assert "executor.run" not in spans
+    assert not [s for s in spans if s.startswith("remap.")]
+    moved = [
+        d["name"]
+        for d in snapshot_diff(before, REGISTRY.snapshot())["diff"]
+        if d["name"].startswith("repro.runtime.")
+        and (d.get("delta") or d.get("count_delta"))
+    ]
+    assert moved == []
 
 
 # ---------------------------------------------------------------------------
